@@ -33,9 +33,12 @@ func main() {
 		// Inspect one device from each group.
 		for _, id := range []int{0, 1} {
 			d := env.Devices[id]
-			peers := make([]int, 0, len(d.ServicePeers))
-			for p := range d.ServicePeers {
-				peers = append(peers, p)
+			var peers []int
+			for k := 0; k < d.Peers.Len(); k++ {
+				if d.Peers.ServiceAt(k) {
+					p, _ := d.Peers.At(k)
+					peers = append(peers, p)
+				}
 			}
 			sort.Ints(peers)
 			if len(peers) > 8 {

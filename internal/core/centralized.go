@@ -125,7 +125,7 @@ func (Centralized) Run(env *Env) Result {
 				eng.Schedule(s, "uplink-report", func(*eventsim.Engine) {
 					res.Counters.Tx[rach.RACH1]++ // the attempt is on the air either way
 					// A report carries the UE's whole neighbour table.
-					res.Counters.TxBytes[rach.RACH1] += 4 + 6*uint64(len(env.Devices[ue].DiscoveredPeers))
+					res.Counters.TxBytes[rach.RACH1] += 4 + 6*uint64(env.Devices[ue].Peers.Len())
 					if collided {
 						return
 					}
@@ -177,7 +177,9 @@ func (Centralized) Run(env *Env) Result {
 	type pair struct{ a, b int }
 	seen := make(map[pair]bool)
 	for i, d := range env.Devices {
-		for peer, stat := range d.DiscoveredPeers {
+		t := &d.Peers
+		for k := 0; k < t.Len(); k++ {
+			peer, stat := t.At(k)
 			k := pair{min2(i, peer), max2(i, peer)}
 			if seen[k] {
 				continue

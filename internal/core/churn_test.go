@@ -70,7 +70,7 @@ func TestChurnDeferredUntilTopologyDone(t *testing.T) {
 	}
 	// The victim must still have participated in discovery (it was alive
 	// during the topology phase).
-	if len(env.Devices[29].DiscoveredPeers) == 0 {
+	if env.Devices[29].Peers.Len() == 0 {
 		t.Error("victim should have discovered peers before failing")
 	}
 }
@@ -128,7 +128,9 @@ func TestNoChurnByDefault(t *testing.T) {
 // observationCount fingerprints how much device i has ever observed.
 func observationCount(env *Env, i int) int {
 	total := 0
-	for _, stat := range env.Devices[i].DiscoveredPeers {
+	t := &env.Devices[i].Peers
+	for k := 0; k < t.Len(); k++ {
+		_, stat := t.At(k)
 		total += stat.Count
 	}
 	return total

@@ -277,7 +277,7 @@ func TestDiscoveryPopulatesTables(t *testing.T) {
 	}
 	// With a full run every device should know most of its neighbourhood.
 	for _, d := range env.Devices {
-		if len(d.DiscoveredPeers) == 0 {
+		if d.Peers.Len() == 0 {
 			t.Fatalf("device %d discovered nothing", d.ID)
 		}
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"repro/internal/rach"
+	"repro/internal/snapshot"
 	"repro/internal/units"
 )
 
@@ -20,7 +21,12 @@ import (
 // this state exists on the degenerate path.
 //
 // Buffers are double-buffered like the engines' fire waves: echoes
-// collected while processing wave k transmit with wave k+1.
+// collected while processing wave k transmit with wave k+1. The wave loop
+// starts every slot on buffer 0 and does not clear a buffer after sending
+// it, so when a slot ends after an odd number of waves buffer 0 still holds
+// the last wave's echoes and the next stepped slot sends them again. That
+// buffer is therefore run state: checkpoints capture it (state/restore).
+// Buffer 1 is always cleared before it is filled, so it never carries over.
 type echoState struct {
 	ids     [2][]int
 	epochs  [2][]units.Slot
@@ -38,6 +44,32 @@ func (ec *echoState) reset(buf int) {
 }
 
 func (ec *echoState) pending(buf int) bool { return len(ec.ids[buf]) > 0 }
+
+// state captures buffer 0 for a checkpoint: nil when the buffer is empty or
+// the run has no echo state (no message adversary).
+func (ec *echoState) state() *snapshot.EchoState {
+	if ec == nil || !ec.pending(0) {
+		return nil
+	}
+	st := &snapshot.EchoState{IDs: append([]int(nil), ec.ids[0]...)}
+	for _, ep := range ec.epochs[0] {
+		st.Epochs = append(st.Epochs, int64(ep))
+	}
+	return st
+}
+
+// restore installs a checkpoint's buffer 0 into a freshly built engine's
+// empty buffers (nil = nothing pending). A run without a message adversary
+// has no echo state and nothing to restore.
+func (ec *echoState) restore(st *snapshot.EchoState) {
+	if ec == nil || st == nil {
+		return
+	}
+	ec.ids[0] = append(ec.ids[0], st.IDs...)
+	for _, ep := range st.Epochs {
+		ec.epochs[0] = append(ec.epochs[0], units.Slot(ep))
+	}
+}
 
 // collect records an echo of epoch for device id. Delivery lists are
 // receiver-grouped, so a device re-absorbed within one wave arrives as a

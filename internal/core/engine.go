@@ -103,8 +103,10 @@ type engine struct {
 	// adversary): every wave's resolved deliveries cycle through it, and
 	// slots with a delayed delivery due run a wave even with no local
 	// fire. nil costs one pointer check per wave. echo carries absorption
-	// echoes between waves; it is allocated on first use and stays nil —
-	// like every other adversary cost — on the degenerate path.
+	// echoes between waves; every stepping path (sequential, sharded and
+	// event) shares this one buffer, so it survives adaptive-engine
+	// handoffs and checkpoints capture it in one place. It stays nil — like
+	// every other adversary cost — on the degenerate path.
 	net  *asyncnet.Queue
 	echo *echoState
 
@@ -207,6 +209,9 @@ func engineWorkers(cfg Config) int {
 func newEngine(env *Env) *engine {
 	e := &engine{env: env, flt: env.Faults, rs: env.Cfg.RunStats, net: env.Net}
 	e.fltFilters = e.flt != nil && e.flt.Filters()
+	if e.net != nil {
+		e.echo = newEchoState(len(env.Devices))
+	}
 	e.service = func(sender int) int { return int(env.Devices[sender].Service) }
 	if env.Cfg.Engine == EngineEvent {
 		e.ev = newEventEngine(e)
@@ -538,4 +543,3 @@ func (e *engine) finish(finalSlot units.Slot) {
 // span the run covered (total). The slot engines step everything; the event
 // engine's ratio is the measured sparsity its speedup comes from.
 func (e *engine) slotStats() (active, total uint64) { return e.activeSlots, e.totalSlots }
-

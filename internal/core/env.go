@@ -236,7 +236,7 @@ func (e *Env) ServiceDiscoveryRatio() float64 {
 			continue
 		}
 		total++
-		if a.ServicePeers[b.ID] && b.ServicePeers[a.ID] {
+		if a.Peers.IsService(b.ID) && b.Peers.IsService(a.ID) {
 			found++
 		}
 	}

@@ -51,7 +51,7 @@ type eventEngine struct {
 	fltFilters bool
 
 	// net mirrors engine.net (nil without an active message adversary);
-	// ec carries absorption echoes between waves (nil alongside net).
+	// ec is the engine's shared absorption-echo buffer (nil alongside net).
 	net *asyncnet.Queue
 	ec  *echoState
 
@@ -81,10 +81,8 @@ func newEventEngine(e *engine) *eventEngine {
 		flt:        env.Faults,
 		fltFilters: env.Faults != nil && env.Faults.Filters(),
 		net:        env.Net,
+		ec:         e.echo,
 		rs:         e.rs,
-	}
-	if ev.net != nil {
-		ev.ec = newEchoState(len(env.Devices))
 	}
 	ids := make([]int, 0, len(env.Devices))
 	ats := make([]units.Slot, 0, len(env.Devices))

@@ -508,10 +508,10 @@ func (FST) Run(env *Env) Result {
 // fstLinkWeight returns the latest observed RSSI on the (u,v) link from
 // whichever direction holds an observation (u's table first).
 func fstLinkWeight(env *Env, u, v int) float64 {
-	if s, ok := env.Devices[u].DiscoveredPeers[v]; ok {
+	if s, ok := env.Devices[u].Peers.Get(v); ok {
 		return float64(s.Last)
 	}
-	if s, ok := env.Devices[v].DiscoveredPeers[u]; ok {
+	if s, ok := env.Devices[v].Peers.Get(u); ok {
 		return float64(s.Last)
 	}
 	return 0
@@ -520,7 +520,9 @@ func fstLinkWeight(env *Env, u, v int) float64 {
 // fstBestOutgoing scans every tree member's neighbour table (and every
 // outsider's view toward tree members) for the heaviest edge leaving the
 // tree, ranked by the *latest* RSSI sample. The scan work is charged to the
-// ops counter — this is the baseline's O(n²)-flavoured per-round cost.
+// ops counter — this is the baseline's O(n²)-flavoured per-round cost. The
+// tables are walked in their dense first-discovery order; the explicit
+// (weight, tu, tv) tie-break makes the pick independent of that order.
 // With liveOnly set (a fault plan is active) powered-off devices neither
 // scan nor qualify as endpoints; the same goes for presumed-dead devices
 // (nil presumed disables the check), and edges the blocked predicate vetoes
@@ -536,8 +538,15 @@ func fstBestOutgoing(env *Env, inTree []bool, liveOnly bool, presumed []bool, bl
 		if presumed != nil && presumed[i] {
 			continue
 		}
-		*ops += uint64(len(d.DiscoveredPeers))
-		for peer, stat := range d.DiscoveredPeers {
+		t := &d.Peers
+		n := t.Len()
+		*ops += uint64(n)
+		in := inTree[i]
+		// Only edges with exactly one endpoint in the tree leave it, so
+		// the scan skips straight to entries across the cut; the fault
+		// filters below commute with that test.
+		for k := t.NextAcross(0, inTree, in); k < n; k = t.NextAcross(k+1, inTree, in) {
+			peer, stat := t.At(k)
 			if liveOnly && !env.Alive[peer] {
 				continue
 			}
@@ -547,14 +556,9 @@ func fstBestOutgoing(env *Env, inTree []bool, liveOnly bool, presumed []bool, bl
 			if blocked != nil && blocked(i, peer) {
 				continue
 			}
-			var tu, tv int
-			switch {
-			case inTree[i] && !inTree[peer]:
-				tu, tv = i, peer
-			case !inTree[i] && inTree[peer]:
+			tu, tv := i, peer
+			if !in {
 				tu, tv = peer, i
-			default:
-				continue
 			}
 			w := float64(stat.Last)
 			// Deterministic tie-break keeps runs reproducible even

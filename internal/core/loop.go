@@ -70,10 +70,6 @@ func (e *engine) stepSequential(slot units.Slot, couples couplingRule, opsPerPul
 	waveBuf := 0
 	net := e.net
 	ec := e.echo
-	if net != nil && ec == nil {
-		ec = newEchoState(len(env.Devices))
-		e.echo = ec
-	}
 	echoCur := 0
 	for len(wave) > 0 || (net != nil && (ec.pending(echoCur) || net.HasDue(slot))) {
 		buf := waveBuf
@@ -151,7 +147,7 @@ func countDiscoveredLinks(env *Env) int {
 		if !env.Alive[i] {
 			continue
 		}
-		total += len(d.DiscoveredPeers)
+		total += d.Peers.Len()
 	}
 	return total
 }

@@ -336,3 +336,78 @@ func TestNetAdversaryConvergesAtScale(t *testing.T) {
 		compareFingerprints(t, proto.Name()+"/n200/workers", ref, got)
 	}
 }
+
+// TestNetCheckpointResumePendingEcho pins that the absorption-echo buffer a
+// slot can leave filled for the next one (see echoState) is part of the
+// checkpoint. It searches small adversarial runs for a checkpoint that
+// carries a pending echo, then resumes from every checkpoint of that run on
+// the sequential, sharded and event engines: each continuation must
+// reproduce the uninterrupted run on the same engine bit for bit. Without the
+// buffer in the checkpoint, a resumed run drops the echo and diverges.
+func TestNetCheckpointResumePendingEcho(t *testing.T) {
+	engines := []struct {
+		name    string
+		engine  string
+		workers int
+		shards  int
+	}{
+		{"slot-w1", EngineSlot, 1, 0},
+		{"shard-s3-w2", EngineSlot, 2, 3},
+		{"event", EngineEvent, 1, 0},
+	}
+	build := func(proto Protocol, seed int64) Config {
+		cfg := PaperConfig(40, seed)
+		cfg.MaxSlots = 2500
+		cfg.JumpsPerCycle = 1
+		cfg.Net = &asyncnet.Plan{
+			Version:       asyncnet.PlanSchema,
+			MaxDelaySlots: cfg.PeriodSlots / 4,
+			Reorder:       true,
+			DupRate:       0.01,
+		}
+		cfg.CheckpointEvery = 100
+		return cfg
+	}
+	for _, proto := range []Protocol{FST{}, ST{}} {
+		proto := proto
+		t.Run(proto.Name(), func(t *testing.T) {
+			// The first seed whose run checkpoints a pending echo.
+			var seed int64
+			for s := int64(1); s <= 20 && seed == 0; s++ {
+				_, cks := checkpointRun(t, proto, build(proto, s))
+				for _, ck := range cks {
+					if decodeCheckpoint(t, ck).Engine.Echo != nil {
+						seed = s
+						break
+					}
+				}
+			}
+			if seed == 0 {
+				t.Fatal("no run in seeds 1..20 checkpoints a pending echo")
+			}
+			for _, eng := range engines {
+				cfg := build(proto, seed)
+				cfg.Engine = eng.engine
+				cfg.Workers = eng.workers
+				cfg.Shards = eng.shards
+				base, cks := checkpointRun(t, proto, cfg)
+				pending := 0
+				for _, ck := range cks {
+					if decodeCheckpoint(t, ck).Engine.Echo != nil {
+						pending++
+					}
+				}
+				if pending == 0 {
+					t.Fatalf("%s seed %d on %s: no checkpoint carries a pending echo", proto.Name(), seed, eng.name)
+				}
+				for _, ck := range cks {
+					rCfg := cfg
+					rCfg.Resume = decodeCheckpoint(t, ck)
+					cont, _ := fingerprintCfg(t, proto, rCfg)
+					label := fmt.Sprintf("%s/seed%d/echo-resume@%d/%s", proto.Name(), seed, ck.slot, eng.name)
+					checkResume(t, label, base, ck.slot, cont)
+				}
+			}
+		})
+	}
+}

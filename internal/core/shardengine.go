@@ -380,10 +380,6 @@ func (sh *shardEngine) step(slot units.Slot, couples couplingRule, opsPerPulse u
 	waveBuf := 0
 	net := e.net
 	ec := e.echo
-	if net != nil && ec == nil {
-		ec = newEchoState(len(env.Devices))
-		e.echo = ec
-	}
 	echoCur := 0
 	for len(wave) > 0 || (net != nil && (ec.pending(echoCur) || net.HasDue(slot))) {
 		// Phase B: plan sequentially (shared-stream preamble draws in wave

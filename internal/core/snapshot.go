@@ -51,22 +51,25 @@ func captureState(env *Env, eng *engine, slot units.Slot) *snapshot.State {
 	return st
 }
 
-// captureDevice copies one device's mutable state, serializing the peer maps
-// as sorted slices so the encoded form is byte-stable.
+// captureDevice copies one device's mutable state, serializing the
+// discovery table as peer-sorted slices: the encoded form does not depend on
+// discovery order, so it is byte-stable across engines and restores.
 func captureDevice(d *device.Device) snapshot.DeviceState {
 	ds := snapshot.DeviceState{Osc: d.Osc.State()}
-	for peer, stat := range d.DiscoveredPeers {
+	t := &d.Peers
+	for k := 0; k < t.Len(); k++ {
+		peer, stat := t.At(k)
 		ds.Peers = append(ds.Peers, snapshot.PeerStat{
 			Peer:  peer,
 			Count: stat.Count,
 			SumDB: stat.SumDB,
 			Last:  float64(stat.Last),
 		})
+		if t.ServiceAt(k) {
+			ds.ServicePeers = append(ds.ServicePeers, peer)
+		}
 	}
 	sort.Slice(ds.Peers, func(i, j int) bool { return ds.Peers[i].Peer < ds.Peers[j].Peer })
-	for peer := range d.ServicePeers {
-		ds.ServicePeers = append(ds.ServicePeers, peer)
-	}
 	sort.Ints(ds.ServicePeers)
 	return ds
 }
@@ -80,17 +83,21 @@ func restoreEnvState(env *Env, st *snapshot.State) {
 	for i, ds := range st.Devices {
 		d := env.Devices[i]
 		d.Osc.SetState(ds.Osc)
-		d.DiscoveredPeers = make(map[int]device.RSSIStat, len(ds.Peers))
+		// The device is freshly built, so its table is empty. Both lists
+		// are ascending and the service peers are a subset of the peers
+		// (Decode checks it; captures produce it), so one merge pass
+		// attaches the service flags.
+		svc := ds.ServicePeers
 		for _, p := range ds.Peers {
-			d.DiscoveredPeers[p.Peer] = device.RSSIStat{
+			match := len(svc) > 0 && svc[0] == p.Peer
+			if match {
+				svc = svc[1:]
+			}
+			d.Peers.Insert(p.Peer, device.RSSIStat{
 				Count: p.Count,
 				SumDB: p.SumDB,
 				Last:  units.DBm(p.Last),
-			}
-		}
-		d.ServicePeers = make(map[int]bool, len(ds.ServicePeers))
-		for _, p := range ds.ServicePeers {
-			d.ServicePeers[p] = true
+			}, match)
 		}
 	}
 	env.Transport.RestoreCounters(st.Transport.Counters, st.Transport.Collisions)
@@ -134,6 +141,7 @@ func (e *engine) engineState() snapshot.EngineState {
 			Eventful:    e.auto.eventful,
 		}
 	}
+	st.Echo = e.echo.state()
 	return st
 }
 
@@ -145,6 +153,7 @@ func (e *engine) restoreEngineState(st snapshot.EngineState) {
 	e.activeSlots = st.ActiveSlots
 	e.totalSlots = st.TotalSlots
 	e.lastSlot = units.Slot(st.LastSlot)
+	e.echo.restore(st.Echo)
 	if e.auto == nil {
 		return
 	}

@@ -628,7 +628,9 @@ func ghsKind(k ghs.MessageKind) rach.Kind {
 func snapshotNeighbors(env *Env) [][]ghs.Neighbor {
 	out := make([][]ghs.Neighbor, len(env.Devices))
 	for i, d := range env.Devices {
-		for peer, stat := range d.DiscoveredPeers {
+		t := &d.Peers
+		for k := 0; k < t.Len(); k++ {
+			peer, stat := t.At(k)
 			out[i] = append(out[i], ghs.Neighbor{Peer: peer, Weight: float64(stat.Mean())})
 		}
 	}
@@ -644,7 +646,9 @@ func snapshotLiveNeighbors(env *Env, presumed []bool) [][]ghs.Neighbor {
 		if !env.Alive[i] || presumed[i] {
 			continue
 		}
-		for peer, stat := range d.DiscoveredPeers {
+		t := &d.Peers
+		for k := 0; k < t.Len(); k++ {
+			peer, stat := t.At(k)
 			if !env.Alive[peer] || presumed[peer] {
 				continue
 			}

@@ -36,12 +36,10 @@ type Device struct {
 	// Service is the device's service interest tag.
 	Service Service
 
-	// DiscoveredPeers maps peer id -> running mean RSSI in dBm, built
-	// from received PSs (physical-level proximity discovery).
-	DiscoveredPeers map[int]RSSIStat
-	// ServicePeers is the subset of discovered peers sharing this
-	// device's Service tag (application-level discovery).
-	ServicePeers map[int]bool
+	// Peers is the discovery table built from received PSs: per-peer RSSI
+	// statistics (physical-level proximity discovery) and which peers share
+	// this device's Service tag (application-level discovery).
+	Peers PeerTable
 }
 
 // RSSIStat accumulates the RSSI observations a device holds about one peer.
@@ -107,28 +105,21 @@ func (s RSSIStat) Mean() units.DBm {
 	return units.DBm(s.SumDB / float64(s.Count))
 }
 
-// New returns a device with an initialized peer table.
+// New returns a device with an empty peer table.
 func New(id int, pos geo.Point, txPower units.DBm, osc *oscillator.Oscillator, svc Service) *Device {
-	return &Device{
-		ID: id, Pos: pos, TxPower: txPower, Osc: osc, Service: svc,
-		DiscoveredPeers: make(map[int]RSSIStat),
-		ServicePeers:    make(map[int]bool),
-	}
+	return &Device{ID: id, Pos: pos, TxPower: txPower, Osc: osc, Service: svc}
 }
 
 // ObservePS records a received PS from peer with the given RSSI and service
-// tag, updating both discovery tables.
+// tag in the discovery table.
 func (d *Device) ObservePS(peer int, rssi units.DBm, svc Service) {
-	d.DiscoveredPeers[peer] = d.DiscoveredPeers[peer].Add(rssi)
-	if svc == d.Service {
-		d.ServicePeers[peer] = true
-	}
+	d.Peers.Observe(peer, rssi, svc == d.Service)
 }
 
 // MeanRSSITo returns the device's current RSSI estimate toward peer and
 // whether any observation exists.
 func (d *Device) MeanRSSITo(peer int) (units.DBm, bool) {
-	s, ok := d.DiscoveredPeers[peer]
+	s, ok := d.Peers.Get(peer)
 	if !ok {
 		return 0, false
 	}

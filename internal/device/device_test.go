@@ -28,10 +28,10 @@ func TestObservePSUpdatesDiscovery(t *testing.T) {
 	if math.Abs(float64(rssi)+85) > 1e-12 {
 		t.Errorf("mean RSSI = %v, want -85", rssi)
 	}
-	if !d.ServicePeers[5] {
+	if !d.Peers.IsService(5) {
 		t.Error("peer 5 shares service 1, should be a service peer")
 	}
-	if d.ServicePeers[7] {
+	if d.Peers.IsService(7) {
 		t.Error("peer 7 has service 2, must not be a service peer")
 	}
 	if _, ok := d.MeanRSSITo(99); ok {

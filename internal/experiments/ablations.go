@@ -387,7 +387,7 @@ func Timeline(n int, seed int64) (*metrics.Table, error) {
 	env.Cfg.ProgressTrace = func(slot units.Slot) {
 		links := 0
 		for _, d := range env.Devices {
-			links += len(d.DiscoveredPeers)
+			links += d.Peers.Len()
 		}
 		samples = append(samples, sample{
 			slot:    slot,

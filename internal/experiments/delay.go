@@ -119,8 +119,10 @@ func RunDelaySweep(opts Options) ([]DelayRow, error) {
 		healed    bool
 		rec       units.Slot
 	}
-	jobCh := make(chan delayJob)
-	outCh := make(chan delayOutcome, len(jobs))
+	// Outcomes are stored at their job's index and aggregated in job order
+	// (see RunSweep), independent of worker scheduling.
+	jobCh := make(chan int)
+	outs := make([]delayOutcome, len(jobs))
 	errCh := make(chan error, workers)
 	// See RunSweep: abort unblocks the producer when a worker exits early.
 	abort := make(chan struct{})
@@ -134,7 +136,8 @@ func RunDelaySweep(opts Options) ([]DelayRow, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for j := range jobCh {
+			for i := range jobCh {
+				j := jobs[i]
 				build := func() core.Config {
 					cfg := core.PaperConfig(j.n, j.seed)
 					cfg.Workers = opts.SlotWorkers
@@ -209,21 +212,20 @@ func RunDelaySweep(opts Options) ([]DelayRow, error) {
 					}
 				}
 				prog.jobDone(j.n, j.proto.Name(), false, false)
-				outCh <- out
+				outs[i] = out
 			}
 		}()
 	}
 feed:
-	for _, j := range jobs {
+	for i := range jobs {
 		select {
-		case jobCh <- j:
+		case jobCh <- i:
 		case <-abort:
 			break feed
 		}
 	}
 	close(jobCh)
 	wg.Wait()
-	close(outCh)
 	select {
 	case err := <-errCh:
 		return nil, err
@@ -238,7 +240,7 @@ feed:
 		attFST, attST                  int
 	}
 	byPoint := make(map[point]*acc)
-	for o := range outCh {
+	for _, o := range outs {
 		p := point{o.n, o.delay}
 		a := byPoint[p]
 		if a == nil {

@@ -170,8 +170,11 @@ func RunSweep(opts Options) ([]Row, error) {
 	}
 
 	prog := newProgressReporter(opts.Progress, "sweep", len(jobs), opts.Cache)
-	jobCh := make(chan job)
-	outCh := make(chan outcome, len(jobs))
+	// Workers pull job indices and store each outcome at its job's index,
+	// so aggregation below runs in job order: metrics.Summarize depends on
+	// input order, and completion order depends on scheduling.
+	jobCh := make(chan int)
+	outs := make([]outcome, len(jobs))
 	errCh := make(chan error, workers)
 	// abort unblocks the producer when a worker bails: without it, workers
 	// exiting on error while the producer is parked on the unbuffered jobCh
@@ -187,7 +190,8 @@ func RunSweep(opts Options) ([]Row, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for j := range jobCh {
+			for i := range jobCh {
+				j := jobs[i]
 				cfg := core.PaperConfig(j.n, j.seed)
 				cfg.Workers = opts.SlotWorkers
 				cfg.Shards = opts.Shards
@@ -208,7 +212,7 @@ func RunSweep(opts Options) ([]Row, error) {
 								opts.OnResult(j.n, j.proto.Name(), res)
 							}
 							prog.jobDone(j.n, j.proto.Name(), true, false)
-							outCh <- outcome{n: j.n, fst: j.proto.Name() == "FST", res: res}
+							outs[i] = outcome{n: j.n, fst: j.proto.Name() == "FST", res: res}
 							continue
 						}
 					}
@@ -226,21 +230,20 @@ func RunSweep(opts Options) ([]Row, error) {
 					opts.OnResult(j.n, j.proto.Name(), res)
 				}
 				prog.jobDone(j.n, j.proto.Name(), false, false)
-				outCh <- outcome{n: j.n, fst: j.proto.Name() == "FST", res: res}
+				outs[i] = outcome{n: j.n, fst: j.proto.Name() == "FST", res: res}
 			}
 		}()
 	}
 feed:
-	for _, j := range jobs {
+	for i := range jobs {
 		select {
-		case jobCh <- j:
+		case jobCh <- i:
 		case <-abort:
 			break feed
 		}
 	}
 	close(jobCh)
 	wg.Wait()
-	close(outCh)
 	select {
 	case err := <-errCh:
 		return nil, err
@@ -252,7 +255,7 @@ feed:
 		cFST, cST                                                     int
 	}
 	byN := make(map[int]*acc)
-	for o := range outCh {
+	for _, o := range outs {
 		a := byN[o.n]
 		if a == nil {
 			a = &acc{}

@@ -101,8 +101,10 @@ func RunRecoverySweep(opts Options) ([]RecoveryRow, error) {
 		attempted bool
 		res       core.Result
 	}
-	jobCh := make(chan job)
-	outCh := make(chan recOutcome, len(jobs))
+	// Outcomes are stored at their job's index and aggregated in job order
+	// (see RunSweep), independent of worker scheduling.
+	jobCh := make(chan int)
+	outs := make([]recOutcome, len(jobs))
 	errCh := make(chan error, workers)
 	// See RunSweep: abort unblocks the producer when a worker exits early.
 	abort := make(chan struct{})
@@ -116,7 +118,8 @@ func RunRecoverySweep(opts Options) ([]RecoveryRow, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for j := range jobCh {
+			for i := range jobCh {
+				j := jobs[i]
 				build := func() core.Config {
 					cfg := core.PaperConfig(j.n, j.seed)
 					cfg.Workers = opts.SlotWorkers
@@ -210,21 +213,20 @@ func RunRecoverySweep(opts Options) ([]RecoveryRow, error) {
 					}
 				}
 				prog.jobDone(j.n, j.proto.Name(), false, resumed)
-				outCh <- out
+				outs[i] = out
 			}
 		}()
 	}
 feed:
-	for _, j := range jobs {
+	for i := range jobs {
 		select {
-		case jobCh <- j:
+		case jobCh <- i:
 		case <-abort:
 			break feed
 		}
 	}
 	close(jobCh)
 	wg.Wait()
-	close(outCh)
 	select {
 	case err := <-errCh:
 		return nil, err
@@ -237,7 +239,7 @@ feed:
 		attFST, attST                int
 	}
 	byN := make(map[int]*acc)
-	for o := range outCh {
+	for _, o := range outs {
 		a := byN[o.n]
 		if a == nil {
 			a = &acc{}

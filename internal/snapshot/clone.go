@@ -42,6 +42,12 @@ func (st *State) Clone() *State {
 		a := *st.Engine.Auto
 		cp.Engine.Auto = &a
 	}
+	if e := st.Engine.Echo; e != nil {
+		cp.Engine.Echo = &EchoState{
+			IDs:    append([]int(nil), e.IDs...),
+			Epochs: append([]int64(nil), e.Epochs...),
+		}
+	}
 	cp.ST = cloneST(st.ST)
 	cp.FST = cloneFST(st.FST)
 	if st.BS != nil {

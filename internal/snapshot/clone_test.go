@@ -37,6 +37,7 @@ func richState() *State {
 	st.FaultCursor = 3
 	st.Telemetry = &telemetry.RunState{Samples: []telemetry.Sample{{}, {}}, Dropped: 1, Stepped: 120}
 	st.Engine.Auto = &AutoState{Mode: "event", WindowStart: 100, DecideAt: 400, Eventful: 37}
+	st.Engine.Echo = &EchoState{IDs: []int{0, 2}, Epochs: []int64{117, 118}}
 	st.Devices[0].Osc.Queued = []oscillator.QueuedJumpState{{ApplyAt: 130, Delta: 0.1}}
 	st.ST = &STState{
 		Result:    ResultState{Converged: true, ConvergenceSlots: 90, Ops: 360, Repairs: 1},
@@ -123,6 +124,8 @@ func TestCloneIsDeep(t *testing.T) {
 	cp.Telemetry.Samples[0].Slot = 999
 	cp.Telemetry.Dropped = 9
 	cp.Engine.Auto.Mode = "slot"
+	cp.Engine.Echo.IDs[0] = 1
+	cp.Engine.Echo.Epochs[1] = 9
 	cp.ST.Result.Ops = 9999
 	cp.ST.Detector.Stable = 9
 	cp.ST.Tree.W[1][0].Weight = 9

@@ -82,15 +82,27 @@ type AutoState struct {
 	Eventful    uint64 `json:"eventful"`
 }
 
+// EchoState is the absorption-echo buffer a run under a message adversary
+// carries across a slot boundary: device IDs[i] transmits an echo stamped
+// with epoch Epochs[i] on the next stepped slot.
+type EchoState struct {
+	IDs    []int   `json:"ids"`
+	Epochs []int64 `json:"epochs"`
+}
+
 // EngineState is the run engine's accounting (and, for the adaptive engine,
 // its decision state). ActiveSlots/TotalSlots are engine-dependent
 // observables: restoring them makes a resumed run's report byte-identical to
-// the uninterrupted run's on the same engine.
+// the uninterrupted run's on the same engine. Echo is present only when the
+// echo buffer is non-empty at the checkpoint slot: checkpoints of runs
+// without a message adversary, and adversarial ones with nothing pending,
+// carry no echo section.
 type EngineState struct {
 	ActiveSlots uint64     `json:"active_slots"`
 	TotalSlots  uint64     `json:"total_slots"`
 	LastSlot    int64      `json:"last_slot"`
 	Auto        *AutoState `json:"auto,omitempty"`
+	Echo        *EchoState `json:"echo,omitempty"`
 }
 
 // ResultState is the portion of a Result accumulated so far mid-run.
@@ -249,20 +261,49 @@ func (st *State) validate() error {
 		return fmt.Errorf("snapshot: %d alive flags for n=%d", len(st.Alive), st.N)
 	}
 	for i, d := range st.Devices {
-		for _, p := range d.Peers {
+		// Discovery tables are captured peer-sorted; a service peer is a
+		// discovered peer whose service tag matched, so it must appear in
+		// the peer list too.
+		for k, p := range d.Peers {
 			if p.Peer < 0 || p.Peer >= st.N {
 				return fmt.Errorf("snapshot: device %d peer %d out of range", i, p.Peer)
 			}
+			if k > 0 && p.Peer <= d.Peers[k-1].Peer {
+				return fmt.Errorf("snapshot: device %d peers not strictly ascending at %d", i, p.Peer)
+			}
 		}
-		for _, p := range d.ServicePeers {
+		k := 0
+		for j, p := range d.ServicePeers {
 			if p < 0 || p >= st.N {
 				return fmt.Errorf("snapshot: device %d service peer %d out of range", i, p)
+			}
+			if j > 0 && p <= d.ServicePeers[j-1] {
+				return fmt.Errorf("snapshot: device %d service peers not strictly ascending at %d", i, p)
+			}
+			for k < len(d.Peers) && d.Peers[k].Peer < p {
+				k++
+			}
+			if k == len(d.Peers) || d.Peers[k].Peer != p {
+				return fmt.Errorf("snapshot: device %d service peer %d not among its discovered peers", i, p)
 			}
 		}
 	}
 	for _, c := range st.Streams {
 		if c.Name == "" {
 			return fmt.Errorf("snapshot: unnamed stream cursor")
+		}
+	}
+	if e := st.Engine.Echo; e != nil {
+		if len(e.IDs) == 0 || len(e.IDs) != len(e.Epochs) {
+			return fmt.Errorf("snapshot: %d echo ids for %d epochs", len(e.IDs), len(e.Epochs))
+		}
+		for i, id := range e.IDs {
+			if id < 0 || id >= st.N {
+				return fmt.Errorf("snapshot: echo device %d out of range for n=%d", id, st.N)
+			}
+			if e.Epochs[i] < 1 {
+				return fmt.Errorf("snapshot: echo epoch %d out of range", e.Epochs[i])
+			}
 		}
 	}
 	if st.FaultCursor < 0 {

@@ -146,6 +146,15 @@ func TestDecodeRejectsInconsistentState(t *testing.T) {
 		{"alive count mismatch", mutate(func(s *State) { s.Alive = append(s.Alive, true) })},
 		{"peer out of range", mutate(func(s *State) { s.Devices[1].Peers[0].Peer = 7 })},
 		{"service peer out of range", mutate(func(s *State) { s.Devices[1].ServicePeers[0] = -1 })},
+		{"service peer not discovered", mutate(func(s *State) { s.Devices[1].ServicePeers[0] = 2 })},
+		{"peers out of order", mutate(func(s *State) {
+			s.Devices[1].Peers = append(s.Devices[1].Peers, PeerStat{Peer: 0, Count: 1, SumDB: -70, Last: -70})
+		})},
+		{"service peers repeated", mutate(func(s *State) { s.Devices[1].ServicePeers = []int{0, 0} })},
+		{"echo lengths differ", mutate(func(s *State) { s.Engine.Echo = &EchoState{IDs: []int{1}} })},
+		{"echo section empty", mutate(func(s *State) { s.Engine.Echo = &EchoState{} })},
+		{"echo device out of range", mutate(func(s *State) { s.Engine.Echo = &EchoState{IDs: []int{3}, Epochs: []int64{5}} })},
+		{"echo epoch zero", mutate(func(s *State) { s.Engine.Echo = &EchoState{IDs: []int{1}, Epochs: []int64{0}} })},
 		{"unnamed stream", mutate(func(s *State) { s.Streams[0].Name = "" })},
 		{"negative fault cursor", mutate(func(s *State) { s.FaultCursor = -1 })},
 		{"no protocol section", mutate(func(s *State) { s.BS = nil })},
